@@ -48,6 +48,27 @@ import (
 	"nvmap/internal/vtime"
 )
 
+// Connection timeouts. A client that never finishes its request headers
+// is dropped after readHeaderTimeout, and a kept-alive connection with
+// no request after idleTimeout. There is no read or write timeout on
+// the whole request: a session's NDJSON stream lasts as long as its
+// run, which -deadline already bounds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server with its connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9091", "listen address")
@@ -82,7 +103,7 @@ func main() {
 			MaxAllocBytes:  *tenantAlloc,
 		},
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() {

@@ -3,7 +3,6 @@ package cmf
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"nvmap/internal/cmrts"
 	"nvmap/internal/vtime"
@@ -202,53 +201,51 @@ func (e *Executor) execParallelStmt(s Stmt, b *Block) error {
 // promotion), which is where Figure 9's Broadcasts come from.
 func (e *Executor) execCompute(st *Assign, tag string) error {
 	dst := e.arrays[st.LHS]
-	var leaves []*cmrts.Array
-	eval, flops, err := e.compileElem(st.RHS, &leaves, "")
+	c := e.newVCompiler("")
+	root, err := c.expr(st.RHS, 0)
 	if err != nil {
 		return err
 	}
-	if len(leaves) == 0 {
-		return e.rt.Fill(dst, eval(nil, 0), tag)
+	if len(c.p.leaves) == 0 {
+		v, err := e.evalScalar(st.RHS)
+		if err != nil {
+			return err
+		}
+		return e.rt.Fill(dst, v, tag)
 	}
-	// The evaluator reads in (never retains or mutates it), so the
-	// runtime's per-node gather slice is used directly: sections of the
-	// Elementwise may run on concurrent workers.
-	return e.rt.Elementwise(tag, dst, leaves, flops, func(in []float64) float64 {
-		return eval(in, 0)
-	})
+	p := c.assign(root)
+	return e.rt.Elementwise(tag, dst, p.leaves, p.flops, p.kernel())
 }
 
 // execWhere runs a masked assignment: dst[i] = rhs[i] where the
-// condition holds, unchanged elsewhere. The destination participates as
-// a source so unmasked elements keep their values.
+// condition holds, unchanged elsewhere. The destination is reported as
+// the final source, since unmasked elements keep their values.
 func (e *Executor) execWhere(st *Where, tag string) error {
 	dst := e.arrays[st.LHS]
-	var leaves []*cmrts.Array
-	condL, fl1, err := e.compileElem(st.CondL, &leaves, "")
-	if err != nil {
-		return err
+	c := e.newVCompiler("")
+	// Each operand stays live until the select, so the next one compiles
+	// above every temp held so far.
+	var ops [3]operand
+	live := 0
+	for i, ex := range []Expr{st.CondL, st.CondR, st.RHS} {
+		o, err := c.expr(ex, live)
+		if err != nil {
+			return err
+		}
+		if o.kind == kTemp {
+			live++
+		}
+		ops[i] = o
 	}
-	condR, fl2, err := e.compileElem(st.CondR, &leaves, "")
-	if err != nil {
-		return err
-	}
-	rhs, fl3, err := e.compileElem(st.RHS, &leaves, "")
-	if err != nil {
-		return err
-	}
-	// The old destination value is the final leaf.
-	oldSlot := len(leaves)
-	leaves = append(leaves, dst)
 	cmp, err := comparator(st.CondOp)
 	if err != nil {
 		return err
 	}
-	return e.rt.Elementwise(tag, dst, leaves, fl1+fl2+fl3+1, func(in []float64) float64 {
-		if cmp(condL(in, 0), condR(in, 0)) {
-			return rhs(in, 0)
-		}
-		return in[oldSlot]
-	})
+	p := c.p
+	p.code = append(p.code, vinstr{op: vSelect, cmp: cmp, out: dest, a: ops[0], b: ops[1], c: ops[2]})
+	p.flops++
+	p.leaves = append(p.leaves, dst)
+	return e.rt.Elementwise(tag, dst, p.leaves, p.flops, p.kernel())
 }
 
 func comparator(op string) (func(a, b float64) bool, error) {
@@ -271,30 +268,17 @@ func comparator(op string) (func(a, b float64) bool, error) {
 }
 
 // execForall runs a FORALL statement as an indexed elementwise update.
+// Indexed leaves are conformable with the target, so each is read from
+// the same node section as the element it feeds.
 func (e *Executor) execForall(st *Forall, tag string) error {
 	dst := e.arrays[st.LHS]
-	var leaves []*cmrts.Array
-	eval, flops, err := e.compileElem(st.RHS, &leaves, st.Var)
+	c := e.newVCompiler(st.Var)
+	root, err := c.expr(st.RHS, 0)
 	if err != nil {
 		return err
 	}
-	// In a FORALL, leaves are read by flat index directly. The value
-	// vector is per-node scratch (nodes run concurrently, elements within
-	// a node do not), carved from one slab so the whole statement costs
-	// two allocations instead of one per element.
-	nodes := e.rt.Machine().Nodes()
-	slab := make([]float64, nodes*len(leaves))
-	scratch := make([][]float64, nodes)
-	for n := range scratch {
-		scratch[n] = slab[n*len(leaves) : (n+1)*len(leaves)]
-	}
-	return e.rt.ElementwiseIndexed(tag, dst, flops, func(node, flat int) float64 {
-		vals := scratch[node]
-		for k, a := range leaves {
-			vals[k] = a.At(flat)
-		}
-		return eval(vals, float64(flat+1))
-	})
+	p := c.assign(root)
+	return e.rt.ElementwiseIndexed(tag, dst, p.leaves, p.flops, p.kernel())
 }
 
 func (e *Executor) execReduce(st *Assign, info *StmtInfo, tag string) error {
@@ -337,7 +321,7 @@ func (e *Executor) execTransform(st *Assign, info *StmtInfo, tag string) error {
 	// differ (Fortran transform intrinsics return a new value).
 	if dst != src {
 		if err := e.rt.Elementwise(tag, dst, []*cmrts.Array{src}, 1,
-			func(v []float64) float64 { return v[0] }); err != nil {
+			func(_ int, out []float64, in [][]float64) { copy(out, in[0]) }); err != nil {
 			return err
 		}
 	}
@@ -382,98 +366,6 @@ func (e *Executor) execTransform(st *Assign, info *StmtInfo, tag string) error {
 	}
 }
 
-// compileElem compiles an elementwise expression into an evaluator.
-// Array leaves are appended to *leaves in evaluation order; the evaluator
-// receives their per-element values in vals and the FORALL index value
-// (1-based) in idx. Scalar and loop-variable references are captured at
-// compile time — i.e., at statement execution, matching Fortran
-// semantics. flops estimates per-element arithmetic work.
-func (e *Executor) compileElem(ex Expr, leaves *[]*cmrts.Array, forallVar string) (func(vals []float64, idx float64) float64, int, error) {
-	switch x := ex.(type) {
-	case *Num:
-		v := x.Val
-		return func([]float64, float64) float64 { return v }, 0, nil
-	case *Ref:
-		if a, isArr := e.arrays[x.Name]; isArr {
-			slot := len(*leaves)
-			*leaves = append(*leaves, a)
-			return func(vals []float64, _ float64) float64 { return vals[slot] }, 0, nil
-		}
-		if forallVar != "" && x.Name == forallVar {
-			return func(_ []float64, idx float64) float64 { return idx }, 0, nil
-		}
-		v, err := e.evalScalar(x)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func([]float64, float64) float64 { return v }, 0, nil
-	case *Index:
-		a, ok := e.arrays[x.Name]
-		if !ok {
-			return nil, 0, fmt.Errorf("cmf: internal: indexed array %s unbound", x.Name)
-		}
-		slot := len(*leaves)
-		*leaves = append(*leaves, a)
-		return func(vals []float64, _ float64) float64 { return vals[slot] }, 0, nil
-	case *Unary:
-		inner, fl, err := e.compileElem(x.X, leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(vals []float64, idx float64) float64 { return -inner(vals, idx) }, fl + 1, nil
-	case *Binary:
-		l, fl1, err := e.compileElem(x.L, leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, fl2, err := e.compileElem(x.R, leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		op := x.Op
-		return func(vals []float64, idx float64) float64 {
-			a, b := l(vals, idx), r(vals, idx)
-			switch op {
-			case '+':
-				return a + b
-			case '-':
-				return a - b
-			case '*':
-				return a * b
-			default:
-				return a / b
-			}
-		}, fl1 + fl2 + 1, nil
-	case *Call:
-		inner, fl, err := e.compileElem(x.Args[0], leaves, forallVar)
-		if err != nil {
-			return nil, 0, err
-		}
-		fn, err := elemFn(x.Fn)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(vals []float64, idx float64) float64 { return fn(inner(vals, idx)) }, fl + 4, nil
-	default:
-		return nil, 0, fmt.Errorf("cmf: internal: unknown expression node %T", ex)
-	}
-}
-
-func elemFn(name string) (func(float64) float64, error) {
-	switch name {
-	case "SQRT":
-		return math.Sqrt, nil
-	case "ABS":
-		return math.Abs, nil
-	case "EXP":
-		return math.Exp, nil
-	case "LOG":
-		return math.Log, nil
-	default:
-		return nil, fmt.Errorf("cmf: internal: %s is not elementwise", name)
-	}
-}
-
 // evalScalar evaluates a control-processor expression.
 func (e *Executor) evalScalar(ex Expr) (float64, error) {
 	switch x := ex.(type) {
@@ -499,12 +391,12 @@ func (e *Executor) evalScalar(ex Expr) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case '+':
+		switch binaryOp(x.Op) {
+		case vAdd:
 			return l + r, nil
-		case '-':
+		case vSub:
 			return l - r, nil
-		case '*':
+		case vMul:
 			return l * r, nil
 		default:
 			return l / r, nil
@@ -514,11 +406,11 @@ func (e *Executor) evalScalar(ex Expr) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		fn, err := elemFn(x.Fn)
+		op, err := elemOp(x.Fn)
 		if err != nil {
 			return 0, err
 		}
-		return fn(v), nil
+		return unary(op, v), nil
 	default:
 		return 0, fmt.Errorf("cmf: internal: unknown scalar expression %T", ex)
 	}

@@ -37,3 +37,20 @@ func FuzzCompile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzElementwise generates an expression program from the input bytes
+// (array size, node and worker counts, then statements) and asserts the
+// differential oracle: the strip-mined executor and the per-element
+// reference leave every array and scalar identical.
+func FuzzElementwise(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := &chooser{b: data}
+		size := oracleSizes[c.intn(len(oracleSizes))]
+		if c.intn(2) == 0 {
+			size = 1 + c.intn(600)
+		}
+		nodes := oracleNodes[c.intn(len(oracleNodes))]
+		workers := oracleWorkers[c.intn(len(oracleWorkers))]
+		checkOracle(t, genProgram(c, size, 1+c.intn(8)), nodes, workers)
+	})
+}

@@ -17,29 +17,38 @@ type ArrayID string
 // and program performance depends on the efficiency of their computation
 // and communication (Section 6.1).
 //
-// Data is stored row-major, block-distributed as contiguous flat chunks:
-// node n holds flat indices [Offsets[n], Offsets[n+1]). Real values are
-// carried so reductions and examples produce checkable results.
+// Data is stored row-major in one slab, block-distributed as contiguous
+// flat chunks: node n holds flat indices [offsets[n], offsets[n+1]), the
+// window section(n) of the slab. Real values are carried so reductions
+// and examples produce checkable results.
 type Array struct {
 	ID    ArrayID
 	Name  string
 	Shape []int
 
-	// chunks[n] is node n's local section; offsets has len nodes+1.
-	chunks  [][]float64
+	// data is the slab in flat order; offsets has len nodes+1 and is
+	// blockOffsets(len(data), nodes), so node sections tile data exactly.
+	data    []float64
 	offsets []int
 
 	freed bool
 }
 
 // Size returns the total element count.
-func (a *Array) Size() int { return a.offsets[len(a.offsets)-1] }
+func (a *Array) Size() int { return len(a.data) }
 
 // Rank returns the number of dimensions.
 func (a *Array) Rank() int { return len(a.Shape) }
 
 // LocalLen returns the number of elements node n holds.
-func (a *Array) LocalLen(n int) int { return len(a.chunks[n]) }
+func (a *Array) LocalLen(n int) int { return a.offsets[n+1] - a.offsets[n] }
+
+// section is node n's local window of the slab. The capacity is clipped
+// so a kernel's append could never spill into the next node's section.
+func (a *Array) section(n int) []float64 {
+	lo, hi := a.offsets[n], a.offsets[n+1]
+	return a.data[lo:hi:hi]
+}
 
 // Subregion describes which contiguous flat slice of the array one node
 // stores — the data-to-processor mapping the runtime reports to the tool
@@ -57,44 +66,42 @@ func (s Subregion) String() string {
 
 // Subregions returns the data-to-node mapping.
 func (a *Array) Subregions() []Subregion {
-	out := make([]Subregion, 0, len(a.chunks))
-	for n := range a.chunks {
+	nodes := len(a.offsets) - 1
+	out := make([]Subregion, 0, nodes)
+	for n := 0; n < nodes; n++ {
 		out = append(out, Subregion{Node: n, Lo: a.offsets[n], Hi: a.offsets[n+1]})
 	}
 	return out
 }
 
-// HomeNode returns the node owning flat index i.
+// HomeNode returns the node owning flat index i. Block distribution is
+// closed-form: the first size%nodes nodes hold base+1 elements and the
+// rest hold base. Indexes at or past Size() clamp to the last node and
+// negative ones to node 0.
 func (a *Array) HomeNode(i int) int {
-	for n := 0; n+1 < len(a.offsets); n++ {
-		if i < a.offsets[n+1] {
-			return n
-		}
+	nodes := len(a.offsets) - 1
+	size := len(a.data)
+	if i >= size {
+		return nodes - 1
 	}
-	return len(a.chunks) - 1
+	if i < 0 {
+		return 0
+	}
+	base, extra := size/nodes, size%nodes
+	big := extra * (base + 1)
+	if i < big {
+		return i / (base + 1)
+	}
+	// i < size implies size > big, so base >= 1 here.
+	return extra + (i-big)/base
 }
 
-// At reads the element at flat index i (test/debug access; does not cost
-// simulated time).
-func (a *Array) At(i int) float64 {
-	n := a.HomeNode(i)
-	return a.chunks[n][i-a.offsets[n]]
-}
-
-// setAt writes the element at flat index i.
-func (a *Array) setAt(i int, v float64) {
-	n := a.HomeNode(i)
-	a.chunks[n][i-a.offsets[n]] = v
-}
+// At reads the element at flat index i. It is test and debug access
+// only: it costs no simulated time and no kernel reads through it.
+func (a *Array) At(i int) float64 { return a.data[i] }
 
 // Flat copies the whole array into one slice (test/debug access).
-func (a *Array) Flat() []float64 {
-	out := make([]float64, 0, a.Size())
-	for _, c := range a.chunks {
-		out = append(out, c...)
-	}
-	return out
-}
+func (a *Array) Flat() []float64 { return append([]float64(nil), a.data...) }
 
 // shapeString renders "1024x1024".
 func shapeString(shape []int) string {
@@ -126,30 +133,13 @@ func blockOffsets(size, nodes int) []int {
 	return offsets
 }
 
-// transferMatrix computes, for a data redistribution where the element at
-// old flat index i moves to new flat index perm(i), how many elements
-// travel from each source node to each destination node. It is the
-// common engine behind shifts, transposes and sorts.
-func transferMatrix(a *Array, perm func(int) int) [][]int {
-	nodes := len(a.chunks)
-	m := make([][]int, nodes)
-	for i := range m {
-		m[i] = make([]int, nodes)
+// addOverlap adds to row (one source node's row of a transfer matrix)
+// how many of the destination flat indices [lo, hi) each node holds.
+func (a *Array) addOverlap(row []int, lo, hi int) {
+	if lo >= hi {
+		return
 	}
-	for src := 0; src < nodes; src++ {
-		for i := a.offsets[src]; i < a.offsets[src+1]; i++ {
-			dst := a.HomeNode(perm(i))
-			m[src][dst]++
-		}
-	}
-	return m
-}
-
-// applyPermutation rewrites the array's data so element old[i] lands at
-// flat index perm(i). perm must be a bijection on [0, Size).
-func applyPermutation(a *Array, perm func(int) int) {
-	old := a.Flat()
-	for i, v := range old {
-		a.setAt(perm(i), v)
+	for d := a.HomeNode(lo); d < len(row) && a.offsets[d] < hi; d++ {
+		row[d] += min(hi, a.offsets[d+1]) - max(lo, a.offsets[d])
 	}
 }

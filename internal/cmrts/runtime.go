@@ -127,6 +127,14 @@ type Runtime struct {
 	allocMap, freeMap   dyninst.PointRef
 	spans               map[string]pointPair
 	blocks              map[string]*blockPoints
+
+	// Kernel scratch, reused across operations (the runtime drives one
+	// operation at a time): gather holds the per-node source sections of
+	// an elementwise kernel, scratch the elements a redistribution sets
+	// aside, and xfer a nodes x nodes transfer matrix.
+	gather  [][]float64
+	scratch []float64
+	xfer    []int
 }
 
 // pointPair is a routine's resolved entry/exit point pair.
@@ -306,23 +314,16 @@ func (rt *Runtime) Allocate(name string, shape []int) (*Array, error) {
 	rt.seq++
 	id := ArrayID("pvar" + strconv.Itoa(rt.seq))
 	offsets := blockOffsets(size, rt.nodes())
-	// One contiguous slab backs every node's chunk: block distribution
-	// means the windows tile it exactly, and a single allocation (plus
-	// better locality for cross-node sweeps) replaces one per node. Full
-	// capacity windows keep any later per-node regrowth private.
-	slab := make([]float64, size)
 	a := &Array{
 		ID:      id,
 		Name:    name,
 		Shape:   append([]int(nil), shape...),
+		data:    make([]float64, size),
 		offsets: offsets,
-		chunks:  make([][]float64, rt.nodes()),
 	}
 	rt.fireSpan(RoutineAlloc, name, []string{string(id), name}, func() {
 		rt.parallelNodes(size, func(n int) {
-			lo, hi := offsets[n], offsets[n+1]
-			a.chunks[n] = slab[lo:hi:hi]
-			rt.mach.AdvanceNode(n, rt.costs.AllocPerElem.Scale(hi-lo))
+			rt.mach.AdvanceNode(n, rt.costs.AllocPerElem.Scale(a.LocalLen(n)))
 		})
 	})
 	rt.arrays[id] = a
@@ -386,68 +387,74 @@ func (rt *Runtime) Fill(a *Array, v float64, tag string) error {
 	rt.BroadcastScalar(v, tag)
 	rt.fireSpan(RoutineCompute, tag, []string{string(a.ID)}, func() {
 		rt.parallelNodes(a.Size(), func(n int) {
-			for i := range a.chunks[n] {
-				a.chunks[n][i] = v
+			sec := a.section(n)
+			for i := range sec {
+				sec[i] = v
 			}
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, len(sec), tag)
 		})
 	})
 	return nil
 }
 
-// Elementwise computes dst[i] = fn(srcs[0][i], srcs[1][i], ...) on every
-// node's local section. flops scales the per-element cost (a
-// multiply-add is ~2). All operands must be conformable and identically
-// distributed, which holds for arrays of equal size in this runtime.
-// Node sections may run on the machine's worker pool, so fn must be a
-// pure function of its arguments (no shared mutable state).
-func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int, fn func(vals []float64) float64) error {
-	if err := checkLive(append([]*Array{dst}, srcs...)...); err != nil {
+// SectionKernel computes one node's section of an elementwise operation.
+// out is the destination's section on that node, which starts at flat
+// index lo, and in[k] is the k-th source's section on the same node:
+// arrays of equal size are identically distributed. out may alias any
+// in[k] (as in A = A*B - A), so a kernel must read an element of its
+// inputs before it writes that element of out. Sections may run
+// concurrently on the machine's worker pool, so a kernel touches only
+// its own slices and retains none of them.
+type SectionKernel func(lo int, out []float64, in [][]float64)
+
+// Elementwise runs kernel over every node's local section of dst and
+// srcs. flops is the per-element cost (a multiply-add is ~2). All
+// operands must be conformable.
+func (rt *Runtime) Elementwise(tag string, dst *Array, srcs []*Array, flops int, kernel SectionKernel) error {
+	return rt.sections(tag, true, dst, srcs, flops, kernel)
+}
+
+// ElementwiseIndexed is Elementwise for a right-hand side that depends
+// on the flat index (FORALL statements): kernel derives the index from
+// its section's lo. The span's arguments name dst alone; srcs are read
+// by index.
+func (rt *Runtime) ElementwiseIndexed(tag string, dst *Array, srcs []*Array, flops int, kernel SectionKernel) error {
+	return rt.sections(tag, false, dst, srcs, flops, kernel)
+}
+
+// sections is the engine behind Elementwise and ElementwiseIndexed;
+// reportSrcs adds the sources to the span's arguments.
+func (rt *Runtime) sections(tag string, reportSrcs bool, dst *Array, srcs []*Array, flops int, kernel SectionKernel) error {
+	if err := checkLive(dst); err != nil {
+		return err
+	}
+	if err := checkLive(srcs...); err != nil {
 		return err
 	}
 	if err := conformable(dst, srcs...); err != nil {
 		return err
 	}
+	args := []string{string(dst.ID)}
+	if reportSrcs {
+		for _, s := range srcs {
+			args = append(args, string(s.ID))
+		}
+	}
 	if flops < 1 {
 		flops = 1
 	}
-	args := []string{string(dst.ID)}
-	for _, s := range srcs {
-		args = append(args, string(s.ID))
+	k := len(srcs)
+	if need := rt.nodes() * k; cap(rt.gather) < need {
+		rt.gather = make([][]float64, need)
 	}
 	rt.fireSpan(RoutineCompute, tag, args, func() {
 		rt.parallelNodes(dst.Size()*flops, func(n int) {
-			// The scratch vector is per node: workers must not share it.
-			vals := make([]float64, len(srcs))
-			for i := range dst.chunks[n] {
-				for k, s := range srcs {
-					vals[k] = s.chunks[n][i]
-				}
-				dst.chunks[n][i] = fn(vals)
+			in := rt.gather[n*k : (n+1)*k : (n+1)*k]
+			for j, s := range srcs {
+				in[j] = s.section(n)
 			}
-			rt.mach.Compute(n, len(dst.chunks[n])*flops, tag)
-		})
-	})
-	return nil
-}
-
-// ElementwiseIndexed computes dst[i] = fn(i) over flat indices; used for
-// FORALL statements whose right-hand side depends on the index. Like
-// Elementwise, fn must be pure: sections may run concurrently.
-func (rt *Runtime) ElementwiseIndexed(tag string, dst *Array, flops int, fn func(node, flat int) float64) error {
-	if err := checkLive(dst); err != nil {
-		return err
-	}
-	if flops < 1 {
-		flops = 1
-	}
-	rt.fireSpan(RoutineCompute, tag, []string{string(dst.ID)}, func() {
-		rt.parallelNodes(dst.Size()*flops, func(n int) {
-			base := dst.offsets[n]
-			for i := range dst.chunks[n] {
-				dst.chunks[n][i] = fn(n, base+i)
-			}
-			rt.mach.Compute(n, len(dst.chunks[n])*flops, tag)
+			kernel(dst.offsets[n], dst.section(n), in)
+			rt.mach.Compute(n, dst.LocalLen(n)*flops, tag)
 		})
 	})
 	return nil
@@ -477,8 +484,9 @@ func (rt *Runtime) Reduce(a *Array, op ReduceOp, tag string) (float64, error) {
 				partial[n] = identity(op)
 				return
 			}
-			partial[n] = localReduce(a.chunks[n], op)
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			sec := a.section(n)
+			partial[n] = localReduce(sec, op)
+			rt.mach.Compute(n, len(sec), tag)
 		})
 		for stride := 1; stride < rt.nodes(); stride *= 2 {
 			for lo := 0; lo+stride < rt.nodes(); lo += 2 * stride {
@@ -564,11 +572,12 @@ func (rt *Runtime) DotProduct(a, b *Array, tag string) (float64, error) {
 				return
 			}
 			var s float64
-			for i, av := range a.chunks[n] {
-				s += av * b.chunks[n][i]
+			as, bs := a.section(n), b.section(n)
+			for i, av := range as {
+				s += av * bs[i]
 			}
 			partial[n] = s
-			rt.mach.Compute(n, 2*len(a.chunks[n]), tag)
+			rt.mach.Compute(n, 2*a.LocalLen(n), tag)
 		})
 		for stride := 1; stride < rt.nodes(); stride *= 2 {
 			for lo := 0; lo+stride < rt.nodes(); lo += 2 * stride {
@@ -592,20 +601,59 @@ func (rt *Runtime) BroadcastScalar(_ float64, tag string) {
 	})
 }
 
-// redistribute moves data according to perm (a bijection on flat
-// indices), issuing the point-to-point transfers the movement implies and
-// then rewriting the stored values.
-func (rt *Runtime) redistribute(a *Array, perm func(int) int, tag string) {
-	m := transferMatrix(a, perm)
-	for src := 0; src < rt.nodes(); src++ {
-		for dst := 0; dst < rt.nodes(); dst++ {
-			if src == dst || m[src][dst] == 0 {
-				continue
+// transfers returns the runtime's zeroed nodes x nodes transfer matrix,
+// row-major by source node: m[src*nodes+dst] counts the elements a
+// redistribution moves from src to dst.
+func (rt *Runtime) transfers() []int {
+	n := rt.nodes() * rt.nodes()
+	if cap(rt.xfer) < n {
+		rt.xfer = make([]int, n)
+	}
+	m := rt.xfer[:n]
+	clear(m)
+	return m
+}
+
+// sendTransfers issues one point-to-point transfer per off-diagonal
+// non-zero entry of m, in (source, destination) order.
+func (rt *Runtime) sendTransfers(m []int, tag string) {
+	n := rt.nodes()
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst && m[src*n+dst] > 0 {
+				rt.send(src, dst, m[src*n+dst]*elemBytes, tag)
 			}
-			rt.send(src, dst, m[src][dst]*elemBytes, tag)
 		}
 	}
-	applyPermutation(a, perm)
+}
+
+// scratchOf returns n elements of the runtime's redistribution scratch.
+func (rt *Runtime) scratchOf(n int) []float64 {
+	if cap(rt.scratch) < n {
+		rt.scratch = make([]float64, n)
+	}
+	return rt.scratch[:n]
+}
+
+// permute moves data according to perm (a bijection on flat indices):
+// the element at old flat index i lands at perm(i). It issues the
+// point-to-point transfers the movement implies, then rewrites the slab
+// from a scratch copy.
+func (rt *Runtime) permute(a *Array, perm func(int) int, tag string) {
+	m := rt.transfers()
+	n := rt.nodes()
+	for src := 0; src < n; src++ {
+		row := m[src*n : (src+1)*n]
+		for i := a.offsets[src]; i < a.offsets[src+1]; i++ {
+			row[a.HomeNode(perm(i))]++
+		}
+	}
+	rt.sendTransfers(m, tag)
+	old := rt.scratchOf(a.Size())
+	copy(old, a.data)
+	for i, v := range old {
+		a.data[perm(i)] = v
+	}
 }
 
 // Rotate circularly shifts the flattened array by offset (CM Fortran
@@ -621,9 +669,33 @@ func (rt *Runtime) Rotate(a *Array, offset int, tag string) error {
 	}
 	off := ((offset % size) + size) % size
 	rt.fireSpan(RoutineRotate, tag, []string{string(a.ID)}, func() {
-		rt.redistribute(a, func(i int) int { return (i + off) % size }, tag)
+		// Node src's block [lo, hi) lands on [lo+off, hi+off), which wraps
+		// past the end at most once because off < size.
+		m := rt.transfers()
+		n := rt.nodes()
+		for src := 0; src < n; src++ {
+			row := m[src*n : (src+1)*n]
+			lo, hi := a.offsets[src]+off, a.offsets[src+1]+off
+			a.addOverlap(row, lo, min(hi, size))
+			a.addOverlap(row, max(lo, size)-size, hi-size)
+		}
+		rt.sendTransfers(m, tag)
+		// The data moves in place; only the shorter side, the wrapped
+		// tail or head, waits in scratch.
+		d := a.data
+		if off <= size/2 {
+			tail := rt.scratchOf(off)
+			copy(tail, d[size-off:])
+			copy(d[off:], d[:size-off])
+			copy(d[:off], tail)
+		} else {
+			head := rt.scratchOf(size - off)
+			copy(head, d[:size-off])
+			copy(d[:off], d[size-off:])
+			copy(d[off:], head)
+		}
 		rt.parallelNodes(size, func(n int) {
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 	})
 	return nil
@@ -640,39 +712,32 @@ func (rt *Runtime) Shift(a *Array, offset int, fill float64, tag string) error {
 		return nil
 	}
 	rt.fireSpan(RoutineShift, tag, []string{string(a.ID)}, func() {
-		// Count cross-node movement of surviving elements.
-		counts := make([][]int, rt.nodes())
-		for i := range counts {
-			counts[i] = make([]int, rt.nodes())
+		// Surviving elements of node src's block [lo, hi) land on
+		// [lo+offset, hi+offset) clipped to the array.
+		m := rt.transfers()
+		n := rt.nodes()
+		for src := 0; src < n; src++ {
+			row := m[src*n : (src+1)*n]
+			lo, hi := a.offsets[src]+offset, a.offsets[src+1]+offset
+			a.addOverlap(row, max(lo, 0), min(hi, size))
 		}
-		old := a.Flat()
-		next := make([]float64, size)
-		for i := range next {
-			next[i] = fill
+		rt.sendTransfers(m, tag)
+		d := a.data
+		var vacated []float64
+		if offset >= 0 {
+			k := min(offset, size)
+			copy(d[k:], d[:size-k])
+			vacated = d[:k]
+		} else {
+			k := min(-offset, size)
+			copy(d[:size-k], d[k:])
+			vacated = d[size-k:]
 		}
-		for i := 0; i < size; i++ {
-			j := i + offset
-			if j < 0 || j >= size {
-				continue
-			}
-			next[j] = old[i]
-			src, dst := a.HomeNode(i), a.HomeNode(j)
-			if src != dst {
-				counts[src][dst]++
-			}
-		}
-		for src := 0; src < rt.nodes(); src++ {
-			for dst := 0; dst < rt.nodes(); dst++ {
-				if counts[src][dst] > 0 {
-					rt.send(src, dst, counts[src][dst]*elemBytes, tag)
-				}
-			}
-		}
-		for i, v := range next {
-			a.setAt(i, v)
+		for i := range vacated {
+			vacated[i] = fill
 		}
 		rt.parallelNodes(size, func(n int) {
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 	})
 	return nil
@@ -693,9 +758,9 @@ func (rt *Runtime) Transpose(a *Array, tag string) error {
 			r, c := i/cols, i%cols
 			return c*rows + r
 		}
-		rt.redistribute(a, perm, tag)
+		rt.permute(a, perm, tag)
 		rt.parallelNodes(rows*cols, func(n int) {
-			rt.mach.Compute(n, len(a.chunks[n]), tag)
+			rt.mach.Compute(n, a.LocalLen(n), tag)
 		})
 	})
 	a.Shape[0], a.Shape[1] = cols, rows
@@ -713,7 +778,7 @@ func (rt *Runtime) Scan(a *Array, op ReduceOp, tag string) error {
 		carry := 0.0
 		haveCarry := false
 		for n := 0; n < rt.nodes(); n++ {
-			c := a.chunks[n]
+			c := a.section(n)
 			for i := range c {
 				if i > 0 {
 					c[i] = combine(c[i-1], c[i], op)
@@ -745,7 +810,7 @@ func (rt *Runtime) Sort(a *Array, tag string) error {
 		return err
 	}
 	rt.fireSpan(RoutineSort, tag, []string{string(a.ID)}, func() {
-		old := a.Flat()
+		old := a.data
 		idx := make([]int, len(old))
 		for i := range idx {
 			idx[i] = i
@@ -756,11 +821,11 @@ func (rt *Runtime) Sort(a *Array, tag string) error {
 			rank[i] = r
 		}
 		rt.parallelNodes(len(old)*rt.costs.SortFactor, func(n int) {
-			local := len(a.chunks[n])
+			local := a.LocalLen(n)
 			cost := local * rt.costs.SortFactor * log2ceil(local)
 			rt.mach.Compute(n, cost, tag)
 		})
-		rt.redistribute(a, func(i int) int { return rank[i] }, tag)
+		rt.permute(a, func(i int) int { return rank[i] }, tag)
 	})
 	return nil
 }

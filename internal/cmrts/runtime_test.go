@@ -34,10 +34,19 @@ func alloc(t *testing.T, rt *Runtime, name string, shape ...int) *Array {
 
 func fillRamp(t *testing.T, rt *Runtime, a *Array) {
 	t.Helper()
-	if err := rt.ElementwiseIndexed("ramp", a, 1, func(_, i int) float64 {
+	if err := rt.ElementwiseIndexed("ramp", a, nil, 1, indexed(func(i int) float64 {
 		return float64(i)
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// indexed adapts a flat-index function to a section kernel.
+func indexed(f func(i int) float64) SectionKernel {
+	return func(lo int, out []float64, _ [][]float64) {
+		for k := range out {
+			out[k] = f(lo + k)
+		}
 	}
 }
 
@@ -150,8 +159,10 @@ func TestElementwise(t *testing.T) {
 	if err := rt.Fill(b, 10, "fill"); err != nil {
 		t.Fatal(err)
 	}
-	err := rt.Elementwise("add", c, []*Array{a, b}, 1, func(v []float64) float64 {
-		return v[0] + v[1]
+	err := rt.Elementwise("add", c, []*Array{a, b}, 1, func(_ int, out []float64, in [][]float64) {
+		for i := range out {
+			out[i] = in[0][i] + in[1][i]
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +184,7 @@ func TestElementwiseValidation(t *testing.T) {
 	rt := newRuntime(t, 2)
 	a := alloc(t, rt, "A", 10)
 	b := alloc(t, rt, "B", 20)
-	if err := rt.Elementwise("x", a, []*Array{b}, 1, func(v []float64) float64 { return v[0] }); err == nil {
+	if err := rt.Elementwise("x", a, []*Array{b}, 1, func(_ int, out []float64, in [][]float64) { copy(out, in[0]) }); err == nil {
 		t.Fatal("non-conformable accepted")
 	}
 	if err := rt.Elementwise("x", a, []*Array{nil}, 1, nil); err == nil {
@@ -318,7 +329,7 @@ func TestScanMax(t *testing.T) {
 	rt := newRuntime(t, 2)
 	a := alloc(t, rt, "A", 5)
 	vals := []float64{3, 1, 4, 1, 5}
-	if err := rt.ElementwiseIndexed("init", a, 1, func(_, i int) float64 { return vals[i] }); err != nil {
+	if err := rt.ElementwiseIndexed("init", a, nil, 1, indexed(func(i int) float64 { return vals[i] })); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Scan(a, OpMax, "SCANMAX"); err != nil {
@@ -335,9 +346,9 @@ func TestScanMax(t *testing.T) {
 func TestSort(t *testing.T) {
 	rt := newRuntime(t, 4)
 	a := alloc(t, rt, "A", 64)
-	if err := rt.ElementwiseIndexed("init", a, 1, func(_, i int) float64 {
+	if err := rt.ElementwiseIndexed("init", a, nil, 1, indexed(func(i int) float64 {
 		return float64((i*37)%64) - 10
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Sort(a, "SORT"); err != nil {
@@ -435,7 +446,7 @@ func TestRotateInverseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("i", a, 1, func(_, i int) float64 { return float64(i * i) }); err != nil {
+		if err := rt.ElementwiseIndexed("i", a, nil, 1, indexed(func(i int) float64 { return float64(i * i) })); err != nil {
 			return false
 		}
 		before := a.Flat()
@@ -476,7 +487,7 @@ func TestReduceSumProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("init", a, 1, func(_, i int) float64 { return vals[i] }); err != nil {
+		if err := rt.ElementwiseIndexed("init", a, nil, 1, indexed(func(i int) float64 { return vals[i] })); err != nil {
 			return false
 		}
 		got, err := rt.Reduce(a, OpSum, "SUM")
@@ -504,7 +515,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := rt.ElementwiseIndexed("i", a, 1, func(_, i int) float64 { return float64(3*i + 1) }); err != nil {
+		if err := rt.ElementwiseIndexed("i", a, nil, 1, indexed(func(i int) float64 { return float64(3*i + 1) })); err != nil {
 			return false
 		}
 		before := a.Flat()
