@@ -93,11 +93,23 @@ type Predicate func(Context) bool
 // Action is the body of a snippet.
 type Action func(Context)
 
+// AllNodes is the Snippet.OnNode scope of a snippet that runs wherever
+// its point fires.
+const AllNodes = 0
+
 // Snippet is a unit of instrumentation code.
 type Snippet struct {
 	// Name labels the snippet for diagnostics.
 	Name string
-	// When guards execution (the paper's predicate).
+	// OnNode scopes the snippet to one node, stored as node+1 so the zero
+	// value (AllNodes) means every node and the control processor. A
+	// scoped snippet is priced as if its guard were "ctx.Node == node &&
+	// When(ctx)": one predicate evaluation on every fire of its point,
+	// suppressed unless its own node fired it. Only that node's fires
+	// touch it, so a node focus costs the host what it covers.
+	OnNode int
+	// When guards execution (the paper's predicate). On a scoped snippet
+	// it is the residual guard, evaluated only on the scoped node.
 	When Predicate
 	// Do runs when the predicate passes (the paper's primitive calls).
 	Do Action
@@ -107,6 +119,7 @@ type Snippet struct {
 type Handle struct {
 	point PointID
 	seq   int
+	on    int // the snippet's OnNode
 }
 
 // Stats aggregates instrumentation activity and modelled perturbation.
@@ -140,6 +153,23 @@ type inserted struct {
 	snippet Snippet
 }
 
+// scopedPoint holds one point's node-scoped snippets, bucketed by node.
+type scopedPoint struct {
+	n      int          // scoped snippets at the point, over all nodes
+	byNode [][]inserted // byNode[node] in insertion order
+}
+
+// without returns list minus the snippet with sequence number seq, and
+// whether it was there.
+func without(list []inserted, seq int) ([]inserted, bool) {
+	for j, ins := range list {
+		if ins.seq == seq {
+			return append(list[:j], list[j+1:]...), true
+		}
+	}
+	return list, false
+}
+
 // Manager is the instrumentation controller for one executable image.
 // Mutation (Insert/Remove/Fire) is not safe for concurrent use — the
 // simulated machine executes sequentially in virtual time — but Stats
@@ -151,10 +181,17 @@ type inserted struct {
 // PointID's function name. The executing substrate fires every potential
 // point on every operation, so that hash was the single largest fixed
 // cost of an uninstrumented point.
+//
+// lists holds each point's unscoped snippets. Node-scoped snippets live
+// in scoped, a per-(point, node) table that exists only at points that
+// have any: a point without them costs no more than before scoping.
 type Manager struct {
-	costs   CostModel
-	ids     map[PointID]int32
-	lists   [][]inserted
+	costs CostModel
+	ids   map[PointID]int32
+	lists [][]inserted
+	// scoped is indexed like lists but only as long as the highest point
+	// index that has held a scoped snippet; a nil entry means none.
+	scoped  []*scopedPoint
 	nextSeq int
 	// stats counters are atomic so a metrics scrape can read them while
 	// the driving goroutine fires snippets; every writer is the single
@@ -209,23 +246,60 @@ func (m *Manager) Resolve(p PointID) PointRef {
 func (r PointRef) Fire(ctx Context) { r.m.fireAt(r.i, ctx) }
 
 // Insert adds a snippet at a point of the running image and returns a
-// removal handle.
+// removal handle. A negative OnNode is a caller bug and panics.
 func (m *Manager) Insert(p PointID, s Snippet) Handle {
+	if s.OnNode < AllNodes {
+		panic(fmt.Sprintf("dyninst: snippet %q scoped to node %d", s.Name, s.OnNode-1))
+	}
 	m.nextSeq++
 	i := m.index(p)
-	m.lists[i] = append(m.lists[i], inserted{seq: m.nextSeq, snippet: s})
+	ins := inserted{seq: m.nextSeq, snippet: s}
+	if s.OnNode == AllNodes {
+		m.lists[i] = append(m.lists[i], ins)
+	} else {
+		for int(i) >= len(m.scoped) {
+			m.scoped = append(m.scoped, nil)
+		}
+		sp := m.scoped[i]
+		if sp == nil {
+			sp = &scopedPoint{}
+			m.scoped[i] = sp
+		}
+		node := s.OnNode - 1
+		for node >= len(sp.byNode) {
+			sp.byNode = append(sp.byNode, nil)
+		}
+		sp.byNode[node] = append(sp.byNode[node], ins)
+		sp.n++
+	}
 	m.stats.inserted.Add(1)
-	return Handle{point: p, seq: m.nextSeq}
+	return Handle{point: p, seq: m.nextSeq, on: s.OnNode}
+}
+
+// scopedAt returns point i's node-scoped snippets, nil when it has none.
+func (m *Manager) scopedAt(i int32) *scopedPoint {
+	if int(i) < len(m.scoped) {
+		return m.scoped[i]
+	}
+	return nil
 }
 
 // Remove deletes a previously inserted snippet. Removing twice is an
 // error.
 func (m *Manager) Remove(h Handle) error {
 	if i, ok := m.ids[h.point]; ok {
-		list := m.lists[i]
-		for j, ins := range list {
-			if ins.seq == h.seq {
-				m.lists[i] = append(list[:j], list[j+1:]...)
+		if h.on == AllNodes {
+			if list, ok := without(m.lists[i], h.seq); ok {
+				m.lists[i] = list
+				m.stats.removed.Add(1)
+				return nil
+			}
+		} else if sp := m.scopedAt(i); sp != nil && h.on <= len(sp.byNode) {
+			if list, ok := without(sp.byNode[h.on-1], h.seq); ok {
+				sp.byNode[h.on-1] = list
+				if sp.n--; sp.n == 0 {
+					m.scoped[i] = nil
+				}
 				m.stats.removed.Add(1)
 				return nil
 			}
@@ -234,17 +308,21 @@ func (m *Manager) Remove(h Handle) error {
 	return fmt.Errorf("dyninst: no snippet %d at %v", h.seq, h.point)
 }
 
-// RemoveAll deletes every snippet at a point, returning how many were
-// removed. This is how "users turn off all dynamic mapping instrumentation
-// points at once" (Section 5).
+// RemoveAll deletes every snippet at a point, scoped or not, returning
+// how many were removed. This is how "users turn off all dynamic mapping
+// instrumentation points at once" (Section 5).
 func (m *Manager) RemoveAll(p PointID) int {
 	i, ok := m.ids[p]
 	if !ok {
 		return 0
 	}
 	n := len(m.lists[i])
+	m.lists[i] = nil
+	if sp := m.scopedAt(i); sp != nil {
+		n += sp.n
+		m.scoped[i] = nil
+	}
 	if n > 0 {
-		m.lists[i] = nil
 		m.stats.removed.Add(int64(n))
 	}
 	return n
@@ -261,20 +339,38 @@ func (m *Manager) Fire(p PointID, ctx Context) {
 	}
 }
 
-// fireAt runs the snippet list at point index i. Stats are batched into
-// at most one atomic add per counter per call — with snippets attached,
-// the two adds per snippet were the next cost after the name hash.
+// fireAt runs the snippets at point index i: the unscoped list and the
+// firing node's scoped list, merged by insertion order. Every other
+// scoped snippet is charged as a failed guard in one multiply, which
+// keeps Fires, Suppressed, Perturbation and the per-node charge equal to
+// a linear scan that tested "ctx.Node == node" on each. Stats are
+// batched into at most one atomic add per counter per call.
 func (m *Manager) fireAt(i int32, ctx Context) {
 	list := m.lists[i]
-	if len(list) == 0 {
+	var mine []inserted
+	others := 0
+	if sp := m.scopedAt(i); sp != nil {
+		others = sp.n
+		if ctx.Node >= 0 && ctx.Node < len(sp.byNode) {
+			mine = sp.byNode[ctx.Node]
+			others -= len(mine)
+		}
+	} else if len(list) == 0 {
 		return
 	}
-	var cost vtime.Duration
-	fires, suppressed := 0, 0
-	for _, ins := range list {
-		if ins.snippet.When != nil {
+	cost := m.costs.PerPredicate.Scale(others)
+	fires, suppressed := 0, others
+	for len(list) > 0 || len(mine) > 0 {
+		var ins inserted
+		scoped := len(mine) > 0 && (len(list) == 0 || mine[0].seq < list[0].seq)
+		if scoped {
+			ins, mine = mine[0], mine[1:]
+		} else {
+			ins, list = list[0], list[1:]
+		}
+		if scoped || ins.snippet.When != nil {
 			cost += m.costs.PerPredicate
-			if !ins.snippet.When(ctx) {
+			if ins.snippet.When != nil && !ins.snippet.When(ctx) {
 				suppressed++
 				continue
 			}
@@ -302,14 +398,14 @@ func (m *Manager) fireAt(i int32, ctx Context) {
 // Instrumented reports whether any snippet is currently inserted at p.
 func (m *Manager) Instrumented(p PointID) bool {
 	i, ok := m.ids[p]
-	return ok && len(m.lists[i]) > 0
+	return ok && (len(m.lists[i]) > 0 || m.scopedAt(i) != nil)
 }
 
 // ActivePoints returns the currently instrumented points, sorted.
 func (m *Manager) ActivePoints() []PointID {
 	out := make([]PointID, 0, len(m.ids))
 	for p, i := range m.ids {
-		if len(m.lists[i]) > 0 {
+		if len(m.lists[i]) > 0 || m.scopedAt(i) != nil {
 			out = append(out, p)
 		}
 	}

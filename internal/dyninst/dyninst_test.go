@@ -155,8 +155,8 @@ func TestPointIDStrings(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter("msgs")
-	if c.Name() != "msgs" || c.Value() != 0 {
+	var c Counter
+	if c.Value() != 0 {
 		t.Fatal("fresh counter wrong")
 	}
 	c.Add(3)
@@ -171,7 +171,7 @@ func TestCounter(t *testing.T) {
 }
 
 func TestTimerBasics(t *testing.T) {
-	tm := NewTimer("sendTime", ProcessTimer)
+	var tm Timer
 	if tm.Running() {
 		t.Fatal("fresh timer running")
 	}
@@ -194,7 +194,7 @@ func TestTimerBasics(t *testing.T) {
 }
 
 func TestTimerNesting(t *testing.T) {
-	tm := NewTimer("recur", WallTimer)
+	var tm Timer
 	tm.Start(10)
 	tm.Start(20) // nested — no effect on the open interval
 	if err := tm.Stop(30); err != nil {
@@ -209,8 +209,8 @@ func TestTimerNesting(t *testing.T) {
 	if tm.Value(100) != 30 {
 		t.Fatalf("Value = %v, want 30 (10..40 once)", tm.Value(100))
 	}
-	if tm.Kind() != WallTimer || tm.Kind().String() != "wall" {
-		t.Fatal("kind wrong")
+	if WallTimer.String() != "wall" {
+		t.Fatal("wall kind name wrong")
 	}
 	if ProcessTimer.String() != "process" {
 		t.Fatal("process kind name wrong")
@@ -218,7 +218,7 @@ func TestTimerNesting(t *testing.T) {
 }
 
 func TestTimerReset(t *testing.T) {
-	tm := NewTimer("x", ProcessTimer)
+	var tm Timer
 	tm.Start(5)
 	tm.Reset()
 	if tm.Running() || tm.Value(100) != 0 {
@@ -230,7 +230,7 @@ func TestTimerReset(t *testing.T) {
 // from the first Start to the last Stop of each outermost group.
 func TestTimerBalanceProperty(t *testing.T) {
 	f := func(spans []uint8) bool {
-		tm := NewTimer("p", ProcessTimer)
+		var tm Timer
 		var now vtime.Time
 		var want vtime.Duration
 		for _, s := range spans {
@@ -300,7 +300,7 @@ func BenchmarkFireUninstrumented(b *testing.B) {
 
 func BenchmarkFireCounting(b *testing.B) {
 	m := NewManager(DefaultCosts(), nil)
-	c := NewCounter("n")
+	var c Counter
 	m.Insert(Entry("hot"), Snippet{Do: func(Context) { c.Add(1) }})
 	p := Entry("hot")
 	ctx := Context{Node: 0}

@@ -1,7 +1,7 @@
 package dyninst
 
 import (
-	"fmt"
+	"errors"
 
 	"nvmap/internal/vtime"
 )
@@ -10,17 +10,11 @@ import (
 // counters and timers; MDL compiles metric descriptions into snippet
 // actions over these primitives (Section 6.3).
 
-// Counter is the counting primitive.
+// Counter is the counting primitive. The zero value is a counter at
+// zero; MDL instances hold their counters as one value slab.
 type Counter struct {
-	name  string
 	value float64
 }
-
-// NewCounter returns a named counter starting at zero.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Name returns the counter's label.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by v (negative v decrements — MDL uses
 // decrements for gauge-style metrics such as messages in flight).
@@ -58,25 +52,13 @@ func (k TimerKind) String() string {
 
 // Timer is the timing primitive. Starts nest: the timer accumulates from
 // the first Start to the balancing Stop, the way Paradyn timers support
-// recursive functions.
+// recursive functions. The zero value is a stopped timer; its clock kind
+// is the metric's declaration, not the primitive's state.
 type Timer struct {
-	name  string
-	kind  TimerKind
 	depth int
 	since vtime.Time
 	accum vtime.Duration
 }
-
-// NewTimer returns a stopped timer.
-func NewTimer(name string, kind TimerKind) *Timer {
-	return &Timer{name: name, kind: kind}
-}
-
-// Name returns the timer's label.
-func (t *Timer) Name() string { return t.name }
-
-// Kind returns the timer's clock kind.
-func (t *Timer) Kind() TimerKind { return t.kind }
 
 // Start begins (or nests) timing at instant now.
 func (t *Timer) Start(now vtime.Time) {
@@ -86,12 +68,16 @@ func (t *Timer) Start(now vtime.Time) {
 	t.depth++
 }
 
+// errStopped is Stop's error; MDL discards it on every stray exit, so it
+// is allocated once.
+var errStopped = errors.New("dyninst: stop of stopped timer")
+
 // Stop ends one nesting level at instant now; the outermost Stop
 // accumulates the elapsed span. Stopping a stopped timer is an error —
 // unbalanced instrumentation is a bug the tool must surface.
 func (t *Timer) Stop(now vtime.Time) error {
 	if t.depth == 0 {
-		return fmt.Errorf("dyninst: stop of stopped timer %q", t.name)
+		return errStopped
 	}
 	t.depth--
 	if t.depth == 0 {

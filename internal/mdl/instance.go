@@ -1,6 +1,7 @@
 package mdl
 
 import (
+	"errors"
 	"fmt"
 
 	"nvmap/internal/dyninst"
@@ -8,18 +9,17 @@ import (
 )
 
 // Instance is one enabled metric-focus pair: the primitives allocated for
-// it (one counter or timer per node, plus one for the control processor)
-// and the snippets inserted into the running application. Paradyn
-// "compiles the descriptions into code that is inserted into running
-// applications at precisely the moment when the particular metric is
-// requested" — Instantiate is that moment.
+// it (one counter or timer per node, plus one for the control processor,
+// held as a single value slab) and the snippets inserted into the running
+// application. Paradyn "compiles the descriptions into code that is
+// inserted into running applications at precisely the moment when the
+// particular metric is requested" — Instantiate is that moment.
 type Instance struct {
 	Metric *Metric
 
-	nodes    int
 	width    int // nodes covered by the focus; divisor for aggregate avg
-	counters []*dyninst.Counter
-	timers   []*dyninst.Timer
+	counters []dyninst.Counter
+	timers   []dyninst.Timer
 	handles  []dyninst.Handle
 	mgr      *dyninst.Manager
 	removed  bool
@@ -38,42 +38,39 @@ func (inst *Instance) SetWidth(w int) {
 	}
 }
 
-// slot maps a context node (CP = -1) to a primitive index.
+// slot maps a context node (CP = -1) to a primitive index. It is also
+// the dyninst.Snippet.OnNode encoding of a node scope.
 func slot(node int) int { return node + 1 }
 
-// Instantiate allocates primitives and inserts the metric's probes,
-// guarded by pred (nil = unconstrained). The predicate is how a metric is
-// constrained to a focus: node selection, an array's SAS flag, a
-// statement's block, or any conjunction the tool builds.
-func (m *Metric) Instantiate(mgr *dyninst.Manager, nodes int, pred dyninst.Predicate) (*Instance, error) {
+// Instantiate allocates primitives and inserts the metric's probes. A
+// focus constrains the metric in two parts: onNode scopes every probe to
+// one node (dyninst.AllNodes, or node+1 as in dyninst.Snippet.OnNode),
+// and pred (nil = unconstrained) guards the rest — an array's SAS flag,
+// a statement's block, or any conjunction the tool builds.
+func (m *Metric) Instantiate(mgr *dyninst.Manager, nodes, onNode int, pred dyninst.Predicate) (*Instance, error) {
 	if mgr == nil {
-		return nil, fmt.Errorf("mdl: nil instrumentation manager")
+		return nil, errors.New("mdl: nil instrumentation manager")
 	}
 	if nodes < 1 {
-		return nil, fmt.Errorf("mdl: need at least one node")
+		return nil, errors.New("mdl: need at least one node")
 	}
-	inst := &Instance{Metric: m, nodes: nodes, width: nodes, mgr: mgr}
-	slots := nodes + 1
+	if onNode < dyninst.AllNodes || onNode > nodes {
+		return nil, errors.New("mdl: node scope outside the partition")
+	}
+	inst := &Instance{Metric: m, width: nodes, mgr: mgr}
 	if m.Kind == Count {
-		inst.counters = make([]*dyninst.Counter, slots)
-		for i := range inst.counters {
-			inst.counters[i] = dyninst.NewCounter(fmt.Sprintf("%s[%d]", m.ID, i-1))
-		}
+		inst.counters = make([]dyninst.Counter, nodes+1)
 	} else {
-		inst.timers = make([]*dyninst.Timer, slots)
-		for i := range inst.timers {
-			inst.timers[i] = dyninst.NewTimer(fmt.Sprintf("%s[%d]", m.ID, i-1), m.Timer)
-		}
+		inst.timers = make([]dyninst.Timer, nodes+1)
 	}
-
+	inst.handles = make([]dyninst.Handle, len(m.Probes))
 	for i, probe := range m.Probes {
-		action := inst.actionFor(i, probe)
-		h := mgr.Insert(probe.Point, dyninst.Snippet{
-			Name: m.ID + ":" + probe.Action.String(),
-			When: pred,
-			Do:   action,
+		inst.handles[i] = mgr.Insert(probe.Point, dyninst.Snippet{
+			Name:   m.ID,
+			OnNode: onNode,
+			When:   pred,
+			Do:     inst.actionFor(i, probe),
 		})
-		inst.handles = append(inst.handles, h)
 	}
 	return inst, nil
 }
@@ -116,16 +113,22 @@ func (inst *Instance) NodeValue(node int, now vtime.Time) float64 {
 }
 
 // Remove deletes the instance's snippets from the application. The
-// primitives retain their final values.
+// primitives retain their final values. Every handle still inserted is
+// removed even when others are already gone (Manager.RemoveAll on one
+// of the metric's points); the missing ones are reported together.
 func (inst *Instance) Remove() error {
 	if inst.removed {
 		return fmt.Errorf("mdl: instance %s already removed", inst.Metric.ID)
 	}
 	inst.removed = true
+	var errs []error
 	for _, h := range inst.handles {
 		if err := inst.mgr.Remove(h); err != nil {
-			return err
+			errs = append(errs, err)
 		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("mdl: instance %s: %w", inst.Metric.ID, errors.Join(errs...))
 	}
 	return nil
 }

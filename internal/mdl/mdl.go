@@ -22,6 +22,7 @@ package mdl
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -368,6 +369,10 @@ func (p *parser) parseField(m *Metric) error {
 	}
 }
 
+// maxAmount bounds an inc/dec amount: counters stay exact integers up to
+// 2^53, and no number of fires can overflow one to infinity.
+const maxAmount = 1 << 53
+
 func (p *parser) parseProbe(m *Metric, line int) error {
 	whereTok, err := p.expect("ident")
 	if err != nil {
@@ -409,6 +414,9 @@ func (p *parser) parseProbe(m *Metric, line int) error {
 		amt, err := p.expect("number")
 		if err != nil {
 			return err
+		}
+		if math.Abs(amt.num) > maxAmount {
+			return errf(line, "amount %s exceeds %g", amt.text, float64(maxAmount))
 		}
 		probe.Amount = amt.num
 	default:

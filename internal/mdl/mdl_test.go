@@ -158,7 +158,7 @@ func TestInstantiateCountMetric(t *testing.T) {
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("sends")
-	inst, err := m.Instantiate(mgr, 4, nil)
+	inst, err := m.Instantiate(mgr, 4, dyninst.AllNodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestInstantiateTimeMetricPerNode(t *testing.T) {
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("summation_time")
-	inst, err := m.Instantiate(mgr, 2, nil)
+	inst, err := m.Instantiate(mgr, 2, dyninst.AllNodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +202,52 @@ func TestInstantiatePredicateConstrains(t *testing.T) {
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("sends")
 	// Constrain to node 1 only.
-	inst, err := m.Instantiate(mgr, 2, func(ctx dyninst.Context) bool { return ctx.Node == 1 })
+	inst, err := m.Instantiate(mgr, 2, dyninst.AllNodes, func(ctx dyninst.Context) bool { return ctx.Node == 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same constraint as a node scope.
+	scoped, err := m.Instantiate(mgr, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr.Fire(dyninst.Entry("CMRTS_send"), dyninst.Context{Node: 0})
 	mgr.Fire(dyninst.Entry("CMRTS_send"), dyninst.Context{Node: 1})
+	mgr.Fire(dyninst.Entry("CMRTS_send"), dyninst.Context{Node: -1})
 	if got := inst.Value(0); got != 1 {
 		t.Fatalf("constrained Value = %g, want 1", got)
+	}
+	if got := scoped.Value(0); got != 1 || scoped.NodeValue(1, 0) != 1 {
+		t.Fatalf("scoped Value = %g, want 1 on node 1", got)
+	}
+}
+
+// A probe removed behind the instance's back (Manager.RemoveAll on one
+// of its points) must not strand the others.
+func TestInstanceRemoveAfterRemoveAll(t *testing.T) {
+	src := `metric two { name "T"; kind count; at enter f: inc 1; at enter g: inc 1; at exit h: inc 1; }`
+	lib, err := NewLibrary(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := lib.Get("two")
+	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
+	inst, err := m.Instantiate(mgr, 2, dyninst.AllNodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := mgr.RemoveAll(dyninst.Entry("f")); n != 1 {
+		t.Fatalf("RemoveAll = %d", n)
+	}
+	err = inst.Remove()
+	if err == nil || !strings.Contains(err.Error(), "f:entry") {
+		t.Fatalf("Remove = %v, want the missing f:entry probe reported", err)
+	}
+	if pts := mgr.ActivePoints(); len(pts) != 0 {
+		t.Fatalf("probes stranded at %v", pts)
+	}
+	if err := inst.Remove(); err == nil || !strings.Contains(err.Error(), "already removed") {
+		t.Fatalf("second Remove = %v", err)
 	}
 }
 
@@ -217,7 +255,7 @@ func TestInstanceRemove(t *testing.T) {
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("sends")
-	inst, _ := m.Instantiate(mgr, 2, nil)
+	inst, _ := m.Instantiate(mgr, 2, dyninst.AllNodes, nil)
 	mgr.Fire(dyninst.Entry("CMRTS_send"), dyninst.Context{Node: 0})
 	if err := inst.Remove(); err != nil {
 		t.Fatal(err)
@@ -237,12 +275,17 @@ func TestInstanceRemove(t *testing.T) {
 func TestInstantiateValidation(t *testing.T) {
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("sends")
-	if _, err := m.Instantiate(nil, 2, nil); err == nil {
+	if _, err := m.Instantiate(nil, 2, dyninst.AllNodes, nil); err == nil {
 		t.Fatal("nil manager accepted")
 	}
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
-	if _, err := m.Instantiate(mgr, 0, nil); err == nil {
+	if _, err := m.Instantiate(mgr, 0, dyninst.AllNodes, nil); err == nil {
 		t.Fatal("zero nodes accepted")
+	}
+	for _, onNode := range []int{-1, 3} {
+		if _, err := m.Instantiate(mgr, 2, onNode, nil); err == nil {
+			t.Fatalf("node scope %d on 2 nodes accepted", onNode)
+		}
 	}
 }
 
@@ -254,7 +297,7 @@ func TestAvgAggregation(t *testing.T) {
 	}
 	m, _ := lib.Get("avg_sends")
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
-	inst, _ := m.Instantiate(mgr, 4, nil)
+	inst, _ := m.Instantiate(mgr, 4, dyninst.AllNodes, nil)
 	for n := 0; n < 4; n++ {
 		mgr.Fire(dyninst.Entry("f"), dyninst.Context{Node: n})
 		mgr.Fire(dyninst.Entry("f"), dyninst.Context{Node: n})
@@ -272,7 +315,7 @@ func TestDecAction(t *testing.T) {
 	}
 	m, _ := lib.Get("gauge")
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
-	inst, _ := m.Instantiate(mgr, 1, nil)
+	inst, _ := m.Instantiate(mgr, 1, dyninst.AllNodes, nil)
 	mgr.Fire(dyninst.Entry("f"), dyninst.Context{Node: 0})
 	if inst.Value(0) != 1 {
 		t.Fatal("gauge not raised")
@@ -287,7 +330,7 @@ func TestStopWithoutStartIgnored(t *testing.T) {
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("summation_time")
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
-	inst, _ := m.Instantiate(mgr, 1, nil)
+	inst, _ := m.Instantiate(mgr, 1, dyninst.AllNodes, nil)
 	// Metric requested mid-operation: the first event is an exit.
 	mgr.Fire(dyninst.Exit("CMRTS_reduce_sum"), dyninst.Context{Node: 0, Now: 50})
 	if got := inst.Value(100); got != 0 {
@@ -337,7 +380,7 @@ func BenchmarkInstrumentedFire(b *testing.B) {
 	mgr := dyninst.NewManager(dyninst.CostModel{}, nil)
 	lib, _ := NewLibrary(sampleMDL)
 	m, _ := lib.Get("sends")
-	inst, _ := m.Instantiate(mgr, 8, nil)
+	inst, _ := m.Instantiate(mgr, 8, dyninst.AllNodes, nil)
 	ctx := dyninst.Context{Node: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -53,7 +53,7 @@ func (t *Tool) EnableBlockTimers() error {
 				{Point: dyninst.Exit(block), Action: mdl.ActStop},
 			},
 		}
-		inst, err := m.Instantiate(t.inst, t.mach.Nodes(), nil)
+		inst, err := m.Instantiate(t.inst, t.mach.Nodes(), dyninst.AllNodes, nil)
 		if err != nil {
 			return err
 		}

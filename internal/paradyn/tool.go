@@ -222,15 +222,15 @@ func (em *EnabledMetric) Partial() string {
 	if em.tool == nil || len(em.tool.lostNodes) == 0 {
 		return ""
 	}
-	focusNode := -1
+	only := -1
 	if r, ok := em.Focus.Part(HierMachine); ok {
-		if n, err := strconv.Atoi(strings.TrimPrefix(r.Name, "node")); err == nil {
-			focusNode = n
+		if n, err := focusNode(r, em.tool.mach.Nodes()); err == nil {
+			only = n
 		}
 	}
 	var parts []string
 	for _, l := range em.tool.lostNodes {
-		if focusNode >= 0 && l.Node != focusNode {
+		if only >= 0 && l.Node != only {
 			continue
 		}
 		parts = append(parts, fmt.Sprintf("lost node %d at %v", l.Node, l.At))
@@ -683,25 +683,39 @@ func (t *Tool) EnableGating() {
 	})
 }
 
-// predicateFor compiles a focus into a dyninst predicate. nil means
-// unconstrained.
-func (t *Tool) predicateFor(focus Focus) (dyninst.Predicate, error) {
-	var preds []dyninst.Predicate
-
-	if r, ok := focus.Part(HierMachine); ok {
-		if !strings.HasPrefix(r.Name, "node") {
-			return nil, fmt.Errorf("paradyn: machine focus %q is not a node", r.FullName())
-		}
-		n, err := strconv.Atoi(strings.TrimPrefix(r.Name, "node"))
-		if err != nil {
-			return nil, fmt.Errorf("paradyn: machine focus %q: %v", r.FullName(), err)
-		}
-		preds = append(preds, func(ctx dyninst.Context) bool { return ctx.Node == n })
+// focusNode parses a Machine focus resource name, "node" followed by the
+// node number in plain decimal digits, and checks it names one of the
+// partition's nodes.
+func focusNode(r *Resource, nodes int) (int, error) {
+	digits, ok := strings.CutPrefix(r.Name, "node")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || strconv.Itoa(n) != digits {
+		return 0, fmt.Errorf("paradyn: machine focus %q is not a node", r.FullName())
 	}
+	if n < 0 || n >= nodes {
+		return 0, fmt.Errorf("paradyn: machine focus %q: no such node on %d nodes", r.FullName(), nodes)
+	}
+	return n, nil
+}
+
+// predicateFor compiles a focus into a dyninst node scope (the Machine
+// part, as a dyninst.Snippet.OnNode) and a residual predicate over the
+// other parts; nil means unconstrained.
+func (t *Tool) predicateFor(focus Focus) (int, dyninst.Predicate, error) {
+	onNode := dyninst.AllNodes
+	if r, ok := focus.Part(HierMachine); ok {
+		n, err := focusNode(r, t.mach.Nodes())
+		if err != nil {
+			return 0, nil, err
+		}
+		onNode = n + 1
+	}
+
+	var preds []dyninst.Predicate
 
 	if r, ok := focus.Part(HierArrays); ok {
 		if !t.gating {
-			return nil, fmt.Errorf("paradyn: array focus %q needs EnableGating", r.FullName())
+			return 0, nil, fmt.Errorf("paradyn: array focus %q needs EnableGating", r.FullName())
 		}
 		name := r.Path[1] // array name (a subregion focus constrains by its array)
 		preds = append(preds, func(ctx dyninst.Context) bool {
@@ -720,11 +734,11 @@ func (t *Tool) predicateFor(focus Focus) (dyninst.Predicate, error) {
 
 	if r, ok := focus.Part(HierStmts); ok {
 		if !t.gating {
-			return nil, fmt.Errorf("paradyn: statement focus %q needs EnableGating", r.FullName())
+			return 0, nil, fmt.Errorf("paradyn: statement focus %q needs EnableGating", r.FullName())
 		}
 		blocks := t.stmtBlocks[r.Name]
 		if len(blocks) == 0 {
-			return nil, fmt.Errorf("paradyn: no mapping for statement %q (load a PIF file)", r.Name)
+			return 0, nil, fmt.Errorf("paradyn: no mapping for statement %q (load a PIF file)", r.Name)
 		}
 		preds = append(preds, func(ctx dyninst.Context) bool {
 			if ctx.Node < 0 {
@@ -750,11 +764,11 @@ func (t *Tool) predicateFor(focus Focus) (dyninst.Predicate, error) {
 
 	switch len(preds) {
 	case 0:
-		return nil, nil
+		return onNode, nil, nil
 	case 1:
-		return preds[0], nil
+		return onNode, preds[0], nil
 	default:
-		return func(ctx dyninst.Context) bool {
+		return onNode, func(ctx dyninst.Context) bool {
 			for _, p := range preds {
 				if !p(ctx) {
 					return false
@@ -773,17 +787,17 @@ func (t *Tool) EnableMetric(metricID string, focus Focus) (*EnabledMetric, error
 	if !ok {
 		return nil, fmt.Errorf("paradyn: unknown metric %q", metricID)
 	}
-	pred, err := t.predicateFor(focus)
+	onNode, pred, err := t.predicateFor(focus)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := m.Instantiate(t.inst, t.mach.Nodes(), pred)
+	inst, err := m.Instantiate(t.inst, t.mach.Nodes(), onNode, pred)
 	if err != nil {
 		return nil, err
 	}
 	// A node-constrained focus covers one node; avg-aggregated metrics
 	// divide by the focus width so collective operations count once.
-	if _, ok := focus.Part(HierMachine); ok {
+	if onNode != dyninst.AllNodes {
 		inst.SetWidth(1)
 	}
 	h, err := hist.New(t.opts.HistBins, 20*vtime.Microsecond)

@@ -177,6 +177,41 @@ func TestWholeProgramMetrics(t *testing.T) {
 	}
 }
 
+// A Machine focus names one node of the partition as "node" plus plain
+// decimal digits; anything else is rejected, naming the focus, instead
+// of aliasing another node or enabling a pair that never fires.
+func TestMachineFocusValidation(t *testing.T) {
+	tool, _, _ := app(t, 4, false)
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"node0", true},
+		{"node3", true},
+		{"node+2", false},
+		{"node-1", false},
+		{"node4", false},
+		{"node9", false},
+		{"node02", false},
+		{"node 1", false},
+		{"node", false},
+		{"nodeX", false},
+		{"cpu1", false},
+	} {
+		focus, err := NewFocus(tool.Axis.AddPath(HierMachine, tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = tool.EnableMetric("computations", focus)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "Machine/"+tc.name)) {
+			t.Errorf("%s: err = %v, want a rejection naming the focus", tc.name, err)
+		}
+	}
+}
+
 func TestNodeConstrainedMetric(t *testing.T) {
 	tool, _, run := app(t, 4, false)
 	node2, ok := tool.Axis.Find("Machine/node2")

@@ -297,8 +297,8 @@ func TestAdmissionDrainReleasesWaiters(t *testing.T) {
 	}
 }
 
-// slowSource is a program heavy enough (tens of ms of host work) that
-// overload and drain tests can reliably overlap requests with it.
+// slowSource is a small program whose DO loop sets its length; tests
+// that need a run to outlast other requests raise the trip count.
 const slowSource = `PROGRAM slow
 REAL A(2048)
 REAL B(2048)
@@ -315,6 +315,31 @@ S = SUM(A)
 END
 `
 
+// waitStats polls /v1/stats until cond holds.
+func waitStats(t *testing.T, ts *httptest.Server, cond func(statsPayload) bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st statsPayload
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cond(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never reached the awaited state: inflight=%d queued=%d", st.Inflight, st.Queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestOverloadShedsThenRejects(t *testing.T) {
 	s := NewServer(Config{MaxConcurrent: 1, QueueDepth: 2, AdmitTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s.Handler())
@@ -328,11 +353,11 @@ func TestOverloadShedsThenRejects(t *testing.T) {
 	}
 	results := make(chan outcome, clients)
 	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
+	post := func(source string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(SessionRequest{Source: slowSource, Nodes: 4})
+			body, _ := json.Marshal(SessionRequest{Source: source, Nodes: 4})
 			resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Errorf("POST: %v", err)
@@ -350,6 +375,18 @@ func TestOverloadShedsThenRejects(t *testing.T) {
 			}
 			results <- outcome{resp.StatusCode, resp.Header.Get("Retry-After"), events}
 		}()
+	}
+	// The first client holds the only slot with a run far longer than
+	// the other arrivals take; the next two fill the queue. Waiting on
+	// /v1/stats between the stages means the last five always meet a
+	// full pool and a full queue, however fast a session runs.
+	post(strings.Replace(slowSource, "DO K = 1, 120", "DO K = 1, 10000", 1))
+	waitStats(t, ts, func(st statsPayload) bool { return st.Inflight == 1 })
+	post(slowSource)
+	post(slowSource)
+	waitStats(t, ts, func(st statsPayload) bool { return st.Inflight == 1 && st.Queued == 2 })
+	for i := 3; i < clients; i++ {
+		post(slowSource)
 	}
 	wg.Wait()
 	close(results)
@@ -377,10 +414,9 @@ func TestOverloadShedsThenRejects(t *testing.T) {
 			t.Errorf("unexpected status %d", r.status)
 		}
 	}
-	// Pool 1 + queue 2: of 8 simultaneous clients at least 5 must have
-	// been fast-rejected, and every queued-then-admitted run must have
-	// been shed. Scheduling may let an early finisher free the slot for
-	// a later client, so the exact split floats within those bounds.
+	// Pool 1 + queue 2: of 8 clients at least 5 must have been
+	// fast-rejected, and every queued-then-admitted run must have been
+	// shed.
 	if rejected < 5 {
 		t.Fatalf("ok=%d rejected=%d shed=%d: expected ≥5 fast rejections", ok, rejected, shed)
 	}
