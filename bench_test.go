@@ -246,9 +246,9 @@ func BenchmarkSASPerNode(b *testing.B) {
 	})
 }
 
-// BenchmarkConsultantSearch: the full two-phase Performance Consultant
-// search on a compute-heavy application.
-func BenchmarkConsultantSearch(b *testing.B) {
+// BenchmarkSessionConsultantSearch: the full two-phase Performance
+// Consultant search on a compute-heavy application, through a Session.
+func BenchmarkSessionConsultantSearch(b *testing.B) {
 	const prog = `PROGRAM heavy
 REAL A(2048)
 REAL B(2048)

@@ -184,7 +184,7 @@ func TestPermanentCrashPartial(t *testing.T) {
 		}
 	}
 	// Display rows carry the annotation.
-	rows := MetricRows(s.Tool.Enabled(), s.Now())
+	rows := s.MetricRows(s.Tool.Enabled())
 	if rows[0].Partial == "" {
 		t.Fatal("display row lost the partial annotation")
 	}

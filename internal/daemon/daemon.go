@@ -13,6 +13,8 @@
 // so delivery is a drain call rather than a socket — but ordering,
 // queue-depth accounting and the single-channel property are preserved,
 // which is what the architecture claims.
+//
+// The conduit has one transport, a mutex-guarded queue (see Channel).
 package daemon
 
 import (
@@ -23,7 +25,6 @@ import (
 	"nvmap/internal/fault"
 	"nvmap/internal/obs"
 	"nvmap/internal/pif"
-	"nvmap/internal/ring"
 	"nvmap/internal/vtime"
 )
 
@@ -135,6 +136,11 @@ type Stats struct {
 // ack/retry protocol. A delivery function returning an error is the nack
 // path for the in-flight batch: the failed message and everything behind
 // it stay queued, in order.
+//
+// Every message travels one queue. Its backing array survives drains
+// (a drain copies the queue out and truncates it), so steady traffic
+// reuses the same memory, and Stats and Pending always describe the
+// channel exactly.
 type Channel struct {
 	mu    sync.Mutex
 	queue []Message
@@ -170,25 +176,6 @@ type Channel struct {
 	obsT      *obs.Tracer
 	occupancy *obs.VHist
 
-	// ring is the lock-free SPSC fast path (EnableSPSC): when the
-	// channel is unbounded, untapped and unobserved, the producer
-	// pushes messages straight into the ring and drains pull them out,
-	// with no lock on either side. The mutex queue remains the wrapper
-	// that owns every other semantic — bounded capacity, overflow
-	// policies, parked retries, message taps — and the ring disables
-	// itself (flushing in order) the moment any of those engage.
-	ring *ring.SPSC[Message]
-	// ringOK gates the producer fast path; recomputed under both locks
-	// whenever an eligibility input changes.
-	ringOK atomic.Bool
-	// spilled marks that a full ring overflowed into the mutex queue;
-	// while set, the producer keeps appending to the queue so drain
-	// order (retries, then ring, then queue) stays chronological. Drains
-	// clear it once the queue is empty again.
-	spilled atomic.Bool
-	// ringBatches counts SendBatch calls absorbed whole by the ring;
-	// Stats() folds it into Batches.
-	ringBatches atomic.Int64
 	// drainBuf is the reusable gather buffer drains assemble deliveries
 	// in (guarded by drainMu), so a steady sample/drain cycle allocates
 	// nothing.
@@ -200,63 +187,9 @@ func NewChannel() *Channel {
 	return &Channel{stats: Stats{ByKind: make(map[Kind]int), DroppedByKind: make(map[Kind]int)}}
 }
 
-// EnableSPSC arms the lock-free single-producer/single-consumer fast
-// path with a ring of at least capacity messages. It is an opt-in for
-// callers whose sends all happen on one goroutine and whose drains all
-// happen on one goroutine (the tool's driving goroutine is both): while
-// the channel stays unbounded, untapped and unobserved, messages travel
-// the ring without taking a lock, and overflow spills to the mutex
-// queue in order. Bounding the channel (SetLimit), registering a
-// message tap (OnMessage) or attaching the observability plane (SetObs)
-// flushes the ring and reverts to the mutex path, so every fault and
-// recovery semantic is exactly the wrapped channel's.
-//
-// Statistics for ring-carried messages (Sent, per-kind counts, queue
-// depth) are folded in when a drain collects them, so a Stats() read
-// between a send and its drain may lag; totals after any drain agree
-// with the mutex path exactly.
-func (c *Channel) EnableSPSC(capacity int) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring == nil {
-		c.ring = ring.New[Message](capacity)
-	}
-	c.syncRingLocked()
-}
-
-// syncRingLocked recomputes fast-path eligibility after a configuration
-// change and, when the ring is being retired, flushes its content to
-// the front of the mutex queue (ring messages predate anything spilled
-// behind them). Callers hold drainMu and mu.
-func (c *Channel) syncRingLocked() {
-	ok := c.ring != nil && c.capacity == 0 && c.onMsg == nil && c.obsT == nil
-	if !ok && c.ringOK.Load() {
-		if n := c.ring.Len(); n > 0 {
-			flushed := c.ring.DrainInto(make([]Message, 0, n))
-			c.accountRingLocked(flushed)
-			c.queue = append(flushed, c.queue...)
-			c.syncDepthLocked()
-		}
-	}
-	c.ringOK.Store(ok)
-}
-
-// accountRingLocked records send-side statistics for messages that
-// travelled the ring, deferred to the moment they leave it.
-func (c *Channel) accountRingLocked(ms []Message) {
-	c.stats.Sent += len(ms)
-	for i := range ms {
-		c.stats.ByKind[ms[i].Kind]++
-	}
-}
-
 // SetLimit bounds the queue depth. capacity <= 0 restores the unbounded
 // default regardless of policy.
 func (c *Channel) SetLimit(capacity int, policy fault.OverflowPolicy) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if capacity <= 0 {
@@ -264,7 +197,6 @@ func (c *Channel) SetLimit(capacity int, policy fault.OverflowPolicy) {
 	} else {
 		c.capacity, c.policy = capacity, policy
 	}
-	c.syncRingLocked()
 }
 
 // OnDrop registers an observer for every message lost to overflow (the
@@ -288,12 +220,9 @@ func (c *Channel) OnBackpressure(fn func()) {
 // channel, before any overflow decision (the supervisor's definition
 // ledger feeds from it). The tap must not call Send.
 func (c *Channel) OnMessage(fn func(Message)) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onMsg = fn
-	c.syncRingLocked()
 }
 
 // Send enqueues a message. Mapping information and performance data
@@ -301,14 +230,6 @@ func (c *Channel) OnMessage(fn func(Message)) {
 // on so the data manager sees definitions before the samples that use
 // them.
 func (c *Channel) Send(m Message) {
-	if c.ringOK.Load() && !c.spilled.Load() {
-		if c.ring.Push(m) {
-			return
-		}
-		// Ring full: spill to the mutex queue and stay there until a
-		// drain empties it, so delivery order holds.
-		c.spilled.Store(true)
-	}
 	if c.obsT != nil {
 		ref := c.obsT.Begin(obs.StageDaemonSend, m.Kind.String(), obs.NodeCP, m.At)
 		defer c.obsT.End(ref, m.At)
@@ -372,15 +293,6 @@ func (c *Channel) SendBatch(ms []Message) {
 	if len(ms) == 0 {
 		return
 	}
-	if c.ringOK.Load() && !c.spilled.Load() {
-		n := c.ring.PushSlice(ms)
-		if n == len(ms) {
-			c.ringBatches.Add(1)
-			return
-		}
-		c.spilled.Store(true)
-		ms = ms[n:] // remainder takes the mutex path, behind the ring
-	}
 	if c.obsT != nil {
 		from, to := spanBounds(ms)
 		ref := c.obsT.Begin(obs.StageDaemonSend, "batch", obs.NodeCP, from)
@@ -431,32 +343,15 @@ func (c *Channel) overflowLocked(m Message) *Message {
 	return &m
 }
 
-// Pending returns the queue depth, counting parked retries and any
-// messages still in the SPSC ring. An empty channel answers without
-// taking the queue lock.
+// Pending returns the queue depth, counting parked retries. An empty
+// channel answers without taking the queue lock.
 func (c *Channel) Pending() int {
-	n := 0
-	if c.ring != nil {
-		n = c.ring.Len()
-	}
 	if c.qdepth.Load() == 0 {
-		return n
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return n + len(c.queue) + len(c.retry)
-}
-
-// RingStats reports the SPSC fast path: messages currently in the
-// ring, the deepest the ring has been, and its capacity. All zeros
-// when EnableSPSC was never called.
-func (c *Channel) RingStats() (occupancy, highWater, capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring == nil {
-		return 0, 0, 0
-	}
-	return c.ring.Len(), c.ring.HighWater(), c.ring.Cap()
+	return len(c.queue) + len(c.retry)
 }
 
 // HighWaterSince returns the deepest the queue has been since the
@@ -467,37 +362,25 @@ func (c *Channel) RingStats() (occupancy, highWater, capacity int) {
 // interval high water captures them — and recovers when shedding
 // actually relieves the pressure. Stats.MaxQueue is unaffected.
 func (c *Channel) HighWaterSince() int {
-	inRing := 0
-	if c.ring != nil {
-		inRing = c.ring.Len()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hw := c.probeHW
-	if n := inRing + len(c.queue) + len(c.retry); n > hw {
+	if n := len(c.queue) + len(c.retry); n > hw {
 		hw = n
 	}
 	c.probeHW = 0
 	return hw
 }
 
-// gatherLocked collects everything deliverable into c.drainBuf in
-// chronological order — parked retries, then the ring's content, then
-// the mutex queue (anything in the queue was spilled or sent after the
-// ring content ahead of it). Ring messages have their send-side stats
-// folded in here, and the backlog depth feeds MaxQueue and the probe
-// high water, matching what per-send bookkeeping would have recorded at
-// its deepest. Callers hold drainMu; gatherLocked takes mu itself.
+// gatherLocked copies everything deliverable into c.drainBuf in
+// order — parked retries, then the queue — and empties both while
+// keeping the queue's backing array for the sends that follow. The
+// backlog depth feeds MaxQueue and the probe high water. Callers hold
+// drainMu; gatherLocked takes mu itself.
 func (c *Channel) gatherLocked() []Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf := c.drainBuf[:0]
-	buf = append(buf, c.retry...)
-	if c.ring != nil {
-		mark := len(buf)
-		buf = c.ring.DrainInto(buf)
-		c.accountRingLocked(buf[mark:])
-	}
+	buf := append(c.drainBuf[:0], c.retry...)
 	buf = append(buf, c.queue...)
 	if len(buf) > c.stats.MaxQueue {
 		c.stats.MaxQueue = len(buf)
@@ -506,38 +389,20 @@ func (c *Channel) gatherLocked() []Message {
 		c.probeHW = len(buf)
 	}
 	c.retry = nil
-	c.queue = nil
+	c.queue = c.queue[:0]
 	c.syncDepthLocked()
 	c.drainBuf = buf
 	return buf
 }
 
 // requeueLocked puts an undelivered suffix of a gathered batch back at
-// the head of the line. With the ring active it parks in retry (always
-// drained first, ahead of whatever the producer pushed meanwhile);
-// otherwise it prepends to the queue, the historical nack behaviour.
-// Callers hold drainMu.
+// the head of the queue, ahead of anything sent meanwhile: the nack
+// path. Callers hold drainMu.
 func (c *Channel) requeueLocked(pending []Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ringOK.Load() {
-		c.retry = append(append([]Message(nil), pending...), c.retry...)
-	} else {
-		c.queue = append(append([]Message(nil), pending...), c.queue...)
-	}
+	c.queue = append(append([]Message(nil), pending...), c.queue...)
 	c.syncDepthLocked()
-}
-
-// settleLocked finishes a fully delivered drain: once nothing is parked
-// or queued, the producer may resume the ring fast path. Callers hold
-// drainMu.
-func (c *Channel) settleLocked(delivered int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Delivered += delivered
-	if len(c.queue) == 0 && len(c.retry) == 0 {
-		c.spilled.Store(false)
-	}
 }
 
 // Drain delivers every queued message, in order, to fn — parked mapping
@@ -564,7 +429,9 @@ func (c *Channel) Drain(fn func(Message) error) (int, error) {
 			return i, err
 		}
 	}
-	c.settleLocked(len(pending))
+	c.mu.Lock()
+	c.stats.Delivered += len(pending)
+	c.mu.Unlock()
 	return len(pending), nil
 }
 
@@ -591,21 +458,19 @@ func (c *Channel) DrainBatch(fn func([]Message) error) (int, error) {
 		c.requeueLocked(pending)
 		return 0, err
 	}
-	c.settleLocked(len(pending))
 	c.mu.Lock()
+	c.stats.Delivered += len(pending)
 	c.stats.BatchesFlushed++
 	c.mu.Unlock()
 	return len(pending), nil
 }
 
-// Stats returns a copy of the traffic statistics. Messages still inside
-// the SPSC ring are not yet counted (see EnableSPSC); any drain folds
-// them in.
+// Stats returns a copy of the traffic statistics, exact at every
+// instant: each send and drain updates them under the queue lock.
 func (c *Channel) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.stats
-	out.Batches += int(c.ringBatches.Load())
 	out.ByKind = make(map[Kind]int, len(c.stats.ByKind))
 	for k, v := range c.stats.ByKind {
 		out.ByKind[k] = v

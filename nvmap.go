@@ -446,7 +446,19 @@ func (s *Session) PIFText() (string, error) {
 // MetricRows reads a set of enabled metrics into display rows at the
 // session's current instant.
 func (s *Session) MetricRows(ems []*paradyn.EnabledMetric) []paradyn.Row {
-	return MetricRows(ems, s.Now())
+	now := s.Now()
+	rows := make([]paradyn.Row, 0, len(ems))
+	for _, em := range ems {
+		rows = append(rows, paradyn.Row{
+			Metric:   em.Metric.Name,
+			Focus:    em.Focus.String(),
+			Value:    em.Value(now),
+			Units:    em.Metric.Units,
+			Degraded: em.Degraded(),
+			Partial:  em.Partial(),
+		})
+	}
+	return rows
 }
 
 // RunMetrics enables the named metrics at the whole-program focus, runs
@@ -473,25 +485,6 @@ func (s *Session) RunMetrics(ids ...string) (map[string]float64, *DegradationRep
 		out[id] = em.Value(now)
 	}
 	return out, report, nil
-}
-
-// MetricRows reads a set of enabled metrics into display rows.
-//
-// Deprecated: use Session.MetricRows, which supplies the session's own
-// clock reading.
-func MetricRows(ems []*paradyn.EnabledMetric, now vtime.Time) []paradyn.Row {
-	rows := make([]paradyn.Row, 0, len(ems))
-	for _, em := range ems {
-		rows = append(rows, paradyn.Row{
-			Metric:   em.Metric.Name,
-			Focus:    em.Focus.String(),
-			Value:    em.Value(now),
-			Units:    em.Metric.Units,
-			Degraded: em.Degraded(),
-			Partial:  em.Partial(),
-		})
-	}
-	return rows
 }
 
 // RunWithMetrics is the one-call convenience: build a session, enable the

@@ -163,7 +163,7 @@ func TestMetricRows(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rows := MetricRows([]*paradyn.EnabledMetric{em}, s.Now())
+	rows := s.MetricRows([]*paradyn.EnabledMetric{em})
 	if len(rows) != 1 || rows[0].Metric != "Summations" || rows[0].Value != 1 {
 		t.Fatalf("rows = %+v", rows)
 	}
